@@ -916,6 +916,47 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_checkpoint_json_is_rejected_or_restored_never_panicked_on() {
+        // A checkpoint taken inside a paused miter solve, so the packed
+        // miter snapshot carries a live trail and learnt clauses. c17 keeps
+        // the JSON small enough to try every truncation.
+        let original = c17();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let locked = XorLocking::default().lock(&original, 4, &mut rng).unwrap();
+        let attack = SatAttack::new(SatAttackConfig {
+            checkpoint_conflicts: Some(1),
+            ..SatAttackConfig::default()
+        });
+        let mut state = attack.init_state(&locked, &original);
+        while !state.miter.is_paused() {
+            assert!(attack.step(&mut state, &locked, &original));
+        }
+        let json = serde_json::to_string(&attack.checkpoint(&state)).unwrap();
+        let revive = |bytes: &[u8]| -> Result<SatAttackState, String> {
+            let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            let ckpt: SatAttackCheckpoint =
+                serde_json::from_str(text).map_err(|e| e.to_string())?;
+            attack.restore(&locked, ckpt)
+        };
+        assert!(revive(json.as_bytes()).is_ok());
+
+        for cut in 0..json.len() {
+            assert!(revive(&json.as_bytes()[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut rejected = 0;
+        for at in 0..json.len() {
+            for mask in [0x01, 0x20, 0x80] {
+                let mut bytes = json.clone().into_bytes();
+                bytes[at] ^= mask;
+                if revive(&bytes).is_err() {
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(rejected > 0);
+    }
+
+    #[test]
     fn restore_rejects_mismatched_checkpoint() {
         let original = c17();
         let mut rng = ChaCha8Rng::seed_from_u64(1);

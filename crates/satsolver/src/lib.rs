@@ -11,8 +11,8 @@
 //! * [`encode`] — Tseitin encoding of an [`autolock_netlist::Netlist`] into
 //!   CNF, with a stable gate→variable mapping so the attack can constrain and
 //!   read back key bits;
-//! * [`SolverSnapshot`] — a serializable capture of the complete search
-//!   state, paired with [`Solver::set_pause_granule`] so a long solve can be
+//! * [`SolverSnapshot`] — a packed, versioned binary capture of the
+//!   complete search state (serialized as one base64 string), paired with [`Solver::set_pause_granule`] so a long solve can be
 //!   suspended at conflict boundaries, checkpointed to disk, and resumed
 //!   bit-identically after a kill.
 //!
@@ -35,6 +35,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod cnf;
+mod codec;
 pub mod encode;
 mod snapshot;
 mod solver;

@@ -10,6 +10,7 @@
 //! recomputation, never a panic and never a wrong result.
 
 use crate::fault::{FaultKind, FaultPlan};
+use std::borrow::Cow;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,7 +42,11 @@ pub(crate) fn encode_record(payload: &[u8]) -> Vec<u8> {
 
 /// Unframes a record; `None` on any violation (bad magic, short header,
 /// length mismatch — including trailing garbage — or checksum mismatch).
-pub(crate) fn decode_record(bytes: &[u8]) -> Option<Vec<u8>> {
+/// An owned buffer is unframed in place: the header is drained off and the
+/// same allocation is returned as the payload, with no second copy (a
+/// borrowed one is copied once).
+pub(crate) fn decode_record<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Option<Vec<u8>> {
+    let bytes = bytes.into();
     if bytes.len() < 24 || &bytes[..8] != MAGIC {
         return None;
     }
@@ -51,7 +56,9 @@ pub(crate) fn decode_record(bytes: &[u8]) -> Option<Vec<u8>> {
     if payload.len() != len || checksum(payload) != sum {
         return None;
     }
-    Some(payload.to_vec())
+    let mut payload = bytes.into_owned();
+    payload.drain(..24);
+    Some(payload)
 }
 
 /// Result of a [`CheckpointStore::read`].
@@ -150,7 +157,7 @@ impl CheckpointStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(StoreRead::Absent),
             Err(e) => return Err(e),
         };
-        match decode_record(&bytes) {
+        match decode_record(bytes) {
             Some(payload) => Ok(StoreRead::Ok(payload)),
             None => {
                 autolock_obs::counter("service.store.corrupt").incr();
@@ -333,6 +340,6 @@ mod tests {
         let mut bad_magic = framed;
         bad_magic[0] = b'X';
         assert_eq!(decode_record(&bad_magic), None);
-        assert_eq!(decode_record(&encode_record(b"")), Some(Vec::new()));
+        assert_eq!(decode_record(encode_record(b"")), Some(Vec::new()));
     }
 }

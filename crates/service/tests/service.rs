@@ -543,6 +543,59 @@ fn sat_job_resumes_from_a_mid_run_checkpoint_bit_identically() {
     let _ = fs::remove_dir_all(&dir_b);
 }
 
+/// A `{id}.sat.json` checkpoint in the field-by-field JSON snapshot format
+/// that preceded packed solver snapshots (the fixture is the genuine
+/// three-step checkpoint of `sat-easy` in that format) no longer
+/// deserializes: the engine quarantines it as a corrupt payload and
+/// recomputes the job to the identical row.
+#[test]
+fn json_era_sat_checkpoint_is_quarantined_and_recomputed() {
+    autolock_obs::enable();
+    let job = &mixed_jobs()[0]; // sat-easy
+    let granule = Some(1);
+
+    let dir_a = scratch("sat_json_era_ref");
+    let mut config_a = EngineConfig::rooted(&dir_a, 1);
+    config_a.sat_step_conflicts = granule;
+    let rows_a = JobEngine::new(config_a)
+        .unwrap()
+        .run(std::slice::from_ref(job))
+        .unwrap();
+
+    let dir_b = scratch("sat_json_era");
+    let mut config_b = EngineConfig::rooted(&dir_b, 1);
+    config_b.sat_step_conflicts = granule;
+    let engine_b = JobEngine::new(config_b).unwrap();
+    engine_b
+        .store()
+        .write(
+            "sat-easy.sat.json",
+            include_bytes!("fixtures/sat-easy.json-era.sat.json"),
+        )
+        .unwrap();
+    let corrupt_before = autolock_obs::counter("service.store.corrupt").value();
+    let rows_b = engine_b.run(std::slice::from_ref(job)).unwrap();
+    assert!(
+        autolock_obs::counter("service.store.corrupt").value() > corrupt_before,
+        "the JSON-era payload must be counted as corrupt"
+    );
+    assert!(
+        dir_b
+            .join("quarantine")
+            .join("sat-easy.sat.json.payload")
+            .exists(),
+        "the JSON-era payload must be quarantined"
+    );
+    assert_eq!(rows_a, rows_b);
+    assert_eq!(
+        fs::read(dir_a.join("rows.jsonl")).unwrap(),
+        fs::read(dir_b.join("rows.jsonl")).unwrap()
+    );
+
+    let _ = fs::remove_dir_all(&dir_a);
+    let _ = fs::remove_dir_all(&dir_b);
+}
+
 /// A corrupt (here: truncated mid-record) GA checkpoint is detected,
 /// quarantined, and the job recomputes from its seed to the identical row —
 /// corruption costs work, never correctness and never a crash.

@@ -68,17 +68,17 @@ fn write_value(
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
+        Value::Int(n) => write_display(out, n),
+        Value::UInt(n) => write_display(out, n),
         Value::Float(f) => {
             if !f.is_finite() {
                 return Err(Error::new("cannot serialize non-finite float"));
             }
             if f.fract() == 0.0 && f.abs() < 1e15 {
                 // Keep integral floats recognizable (serde_json prints `1.0`).
-                out.push_str(&format!("{f:.1}"));
+                write_display(out, format_args!("{f:.1}"));
             } else {
-                out.push_str(&f.to_string());
+                write_display(out, f);
             }
         }
         Value::Str(s) => write_json_string(s, out),
@@ -123,6 +123,12 @@ fn write_value(
     Ok(())
 }
 
+/// Formats straight into `out`, without a temporary `String` per number.
+fn write_display(out: &mut String, v: impl std::fmt::Display) {
+    use std::fmt::Write;
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
 fn newline_indent(indent: Option<usize>, level: usize, out: &mut String) {
     if let Some(width) = indent {
         out.push('\n');
@@ -132,7 +138,25 @@ fn newline_indent(indent: Option<usize>, level: usize, out: &mut String) {
     }
 }
 
+/// `true` for the bytes a JSON string literal must escape.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 fn write_json_string(s: &str, out: &mut String) {
+    // Fast path: nothing to escape (base64 payloads, ids, most keys) is
+    // copied in one go.
+    if !s.bytes().any(needs_escape) {
+        out.reserve(s.len() + 2);
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
+    write_json_string_escaped(s, out);
+}
+
+fn write_json_string_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -330,15 +354,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Collect the full UTF-8 sequence starting at pos-1.
+                    // Copy the whole run up to the next quote or escape at
+                    // once; both delimiters are ASCII, so the run ends on a
+                    // UTF-8 character boundary.
                     let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::new("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice)
+                    let end = self.bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    let s = std::str::from_utf8(&self.bytes[start..end])
                         .map_err(|_| Error::new("invalid UTF-8 in string"))?;
                     out.push_str(s);
                     self.pos = end;
@@ -385,15 +409,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,6 +428,28 @@ mod tests {
             out
         };
         assert_eq!(parse_value(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn integers_print_exactly_across_widths() {
+        for (v, text) in [
+            (Value::UInt(0), "0"),
+            (Value::UInt(u128::from(u64::MAX)), "18446744073709551615"),
+            (
+                Value::UInt(u128::MAX),
+                "340282366920938463463374607431768211455",
+            ),
+            (Value::Int(-7), "-7"),
+            (Value::Int(i128::from(i64::MIN)), "-9223372036854775808"),
+            (
+                Value::Int(i128::MIN),
+                "-170141183460469231731687303715884105728",
+            ),
+        ] {
+            let mut out = String::new();
+            write_value(&v, None, 0, &mut out).unwrap();
+            assert_eq!(out, text);
+        }
     }
 
     #[test]
@@ -442,6 +479,28 @@ mod tests {
         assert!(parse_value("[1,]").is_err());
         assert!(parse_value("nul").is_err());
         assert!(parse_value("1 2").is_err());
+    }
+
+    #[test]
+    fn string_fast_path_matches_the_escaping_path() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut inputs = vec![
+            String::new(),
+            "plain ascii 0123 +/=".to_string(),
+            "héllo ↯ 日本語 🦀".to_string(),
+            "say \"hi\"".to_string(),
+            "back\\slash\\".to_string(),
+            "\u{7f} is DEL, not a control character".to_string(),
+            controls,
+        ];
+        inputs.extend((0u8..0x20).map(|c| format!("a{}b", char::from(c))));
+        for s in &inputs {
+            let (mut fast, mut escaped) = (String::new(), String::new());
+            write_json_string(s, &mut fast);
+            write_json_string_escaped(s, &mut escaped);
+            assert_eq!(fast, escaped, "{s:?}");
+            assert_eq!(parse_value(&fast).unwrap(), Value::Str(s.clone()));
+        }
     }
 
     #[test]
