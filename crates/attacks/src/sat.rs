@@ -407,18 +407,20 @@ impl SatAttack {
                         // Constrain both miter key copies and the key solver
                         // with the observed input/output behaviour.
                         for enc in [&state.enc_a, &state.enc_b] {
+                            let key_vars: Vec<Var> =
+                                state.keys.iter().map(|&k| enc.var(k)).collect();
                             Self::add_io_constraint(
                                 &mut state.miter,
                                 netlist,
-                                enc,
                                 &state.pis,
                                 &state.keys,
                                 &state.outs,
+                                &key_vars,
                                 &dip,
                                 &response,
                             );
                         }
-                        Self::add_io_constraint_new_copy(
+                        Self::add_io_constraint(
                             &mut state.key_solver,
                             netlist,
                             &state.pis,
@@ -528,40 +530,16 @@ impl SatAttack {
 
     /// Adds, to `solver`, a fresh copy of `netlist` whose primary inputs are
     /// fixed to `dip`, whose outputs are fixed to `response`, and whose key
-    /// inputs are tied to the key variables of the existing encoder `enc`.
+    /// inputs are tied to `key_vars` (one per entry of `keys`, same order):
+    /// the key variables of a miter copy, or the key solver's shared ones.
     #[allow(clippy::too_many_arguments)]
     fn add_io_constraint(
         solver: &mut Solver,
         netlist: &Netlist,
-        enc: &CircuitEncoder,
         pis: &[GateId],
         keys: &[GateId],
         outs: &[GateId],
-        dip: &[bool],
-        response: &[bool],
-    ) {
-        let copy = CircuitEncoder::encode(solver, netlist);
-        for (&pi, &value) in pis.iter().zip(dip) {
-            copy.assert_value(solver, pi, value);
-        }
-        for (&o, &value) in outs.iter().zip(response) {
-            copy.assert_value(solver, o, value);
-        }
-        for &k in keys {
-            copy.assert_equal(solver, k, enc, k);
-        }
-    }
-
-    /// Adds an I/O-constrained circuit copy to the key solver, tying its key
-    /// inputs to the shared key variables.
-    #[allow(clippy::too_many_arguments)]
-    fn add_io_constraint_new_copy(
-        solver: &mut Solver,
-        netlist: &Netlist,
-        pis: &[GateId],
-        keys: &[GateId],
-        outs: &[GateId],
-        key_vars: &[autolock_satsolver::Var],
+        key_vars: &[Var],
         dip: &[bool],
         response: &[bool],
     ) {

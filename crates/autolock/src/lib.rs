@@ -18,6 +18,10 @@
 //! 4. **Output** — the locked netlist (LN) decoded from the fittest genotype
 //!    ([`AutoLockResult::locked`]).
 //!
+//! [`AutoLock::run`] does all four steps. [`AutoLock::prepare`] stops after
+//! step 3 and returns the assembled [`Evolution`], whose resumable views let
+//! a driver such as the job service step, checkpoint and resume the GA.
+//!
 //! ```no_run
 //! use autolock::{AutoLock, AutoLockConfig};
 //! use autolock_circuits::suite_circuit;
@@ -49,7 +53,7 @@ mod report;
 
 pub use cache::FitnessCache;
 pub use config::AutoLockConfig;
-pub use engine::AutoLock;
+pub use engine::{AutoLock, Evolution};
 pub use fitness::{MultiObjectiveLockingFitness, MuxLinkFitness, ObjectiveKind};
 pub use genotype::{genotype_hash, is_valid, random_genotype, repair_genotype, LockingGenotype};
 pub use report::{AutoLockError, AutoLockResult, GenerationRecord};

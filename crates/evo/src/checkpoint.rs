@@ -6,10 +6,10 @@
 //! serde-serializable in this workspace). Persist it after each
 //! [`GeneticAlgorithm::step`]; on restart, deserialize and keep stepping.
 //!
-//! **Determinism contract:** a run driven through `init_state` + `step` until
-//! completion produces exactly the same [`GaResult`] as
-//! [`GeneticAlgorithm::run`] with the same seed, and a state serialized after
-//! any generation and resumed in a fresh process continues bit-for-bit
+//! **Determinism contract:** [`GeneticAlgorithm::run`] *is* `init_state` +
+//! `step` until completion, so a stepped run produces exactly the same
+//! [`GaResult`] with the same seed, and a state serialized after any
+//! generation and resumed in a fresh process continues bit-for-bit
 //! identically to the uninterrupted run. Both properties are pinned by tests.
 
 use crate::{
@@ -152,8 +152,9 @@ impl GeneticAlgorithm {
     /// [`GeneticAlgorithm::step`] with the evaluation strategy injected.
     ///
     /// The offspring-loop RNG draw order (select, select, crossover?, mutate?,
-    /// mutate?) lives only here, so the plain and island/surrogate paths can
-    /// never drift apart; `step_loop_equals_run` pins the protocol.
+    /// mutate?) lives only here: [`GeneticAlgorithm::run`], the resumable
+    /// wrapper and the island/surrogate paths all step through it, so they
+    /// can never drift apart.
     pub(crate) fn step_with<G, C, M>(
         &self,
         state: &mut GaState<G>,
@@ -186,9 +187,7 @@ impl GeneticAlgorithm {
             .map(|&i| state.population[i].clone())
             .collect();
 
-        // Fill the rest with offspring. Draw order matches
-        // `GeneticAlgorithm::run` exactly — the equivalence is pinned by the
-        // `step_loop_equals_run` test.
+        // Fill the rest with offspring.
         let rng: &mut dyn RngCore = &mut state.rng;
         while next.len() < pop_size {
             let pa = config.selection.select(&state.scores, rng);

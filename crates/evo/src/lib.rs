@@ -50,12 +50,23 @@
 //!     }
 //! }
 //!
+//! // Seed the population and the GA from one stream: `run` draws from
+//! // where seeding stopped and leaves `rng` where the run stopped.
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let initial: Vec<Vec<bool>> = (0..20).map(|_| (0..32).map(|_| rng.gen()).collect()).collect();
 //! let config = GaConfig { generations: 60, ..Default::default() };
 //! let ga = GeneticAlgorithm::new(config);
 //! let result = ga.run(initial, &OneMax, &OnePoint, &Flip, &mut rng);
 //! assert!(result.best_fitness >= 30.0);
+//!
+//! // `run` is `init_state` + `step` until done, so stepping by hand from
+//! // the same position reproduces it exactly.
+//! let mut replay = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+//! let initial: Vec<Vec<bool>> = (0..20).map(|_| (0..32).map(|_| replay.gen()).collect()).collect();
+//! let mut state = ga.init_state(initial, &OneMax, replay);
+//! while ga.step(&mut state, &OneMax, &OnePoint, &Flip) {}
+//! assert_eq!(state.best_fitness, result.best_fitness);
+//! assert_eq!(state.rng, rng);
 //! ```
 
 #![deny(missing_docs)]

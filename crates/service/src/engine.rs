@@ -3,7 +3,7 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::job::{JobKind, JobRow, JobSpec, JobStatus, LockSpec};
 use crate::registry::{ModelRegistry, RegistryLookup};
-use crate::resumable::{EvolveJob, IslandEvolveJob};
+use crate::resumable::{prepare_evolution, EvolveResult};
 use crate::store::{CheckpointStore, StoreRead};
 use autolock_attacks::{
     netlist_fingerprint, MuxLinkAttack, MuxLinkConfig, ResumableSatAttack, SatAttack,
@@ -339,12 +339,9 @@ impl JobEngine {
             JobKind::MuxLinkAttack { lock, attack } => {
                 self.run_muxlink(spec, &netlist, *lock, attack)
             }
-            JobKind::Evolve {
-                key_len,
-                population_size,
-                generations,
-            } => self.run_evolve(spec, netlist, *key_len, *population_size, *generations),
-            JobKind::EvolveIslands { .. } => self.run_evolve_islands(spec, netlist),
+            JobKind::Evolve { .. } | JobKind::EvolveIslands { .. } => {
+                self.run_evolve(spec, &netlist)
+            }
         }
     }
 
@@ -562,67 +559,45 @@ impl JobEngine {
         self.store.path(&Self::island_checkpoint_name(job_id))
     }
 
-    /// Runs a classic single-population evolve job through the
-    /// [`Resumable`] protocol. The checkpoint (`{id}.ga.json`) embeds the
+    /// Runs an evolve job through the [`Resumable`] protocol. A
+    /// [`JobKind::Evolve`] job steps the single-population GA view and
+    /// checkpoints under `{id}.ga.json`; a [`JobKind::EvolveIslands`] job
+    /// steps the island view under `{id}.iga.json`. Checkpoints embed the
     /// GA's RNG, so a resumed run is bit-identical to never having stopped;
     /// a torn or corrupt checkpoint is quarantined and the GA restarts from
     /// its seed — recomputation, not a panic, and the same final row.
-    fn run_evolve(
-        &self,
-        spec: &JobSpec,
-        netlist: Netlist,
-        key_len: usize,
-        population_size: usize,
-        generations: usize,
-    ) -> Result<JobRow, JobError> {
-        let job = EvolveJob::from_parts(netlist, spec.seed, key_len, population_size, generations)
-            .map_err(JobError::fatal)?;
-        let result = self.run_resumable(
-            &job.resumable(),
-            &ResumeSite {
-                name: Self::ga_checkpoint_name(&spec.id),
-                resume_counter: "service.evolve_resumes",
-                checkpoint_counter: "service.evolve_checkpoints",
-            },
-        )?;
-        Ok(self.evolve_row(spec, key_len, &result))
-    }
-
-    /// Runs an island-model evolve job ([`JobKind::EvolveIslands`]) through
-    /// the [`Resumable`] protocol, checkpointing under `{id}.iga.json`.
-    /// Islands run serially inside the job (the engine's worker pool is the
-    /// parallelism level, per the workspace thread-knob precedence rule);
-    /// results are thread-count invariant either way.
-    fn run_evolve_islands(&self, spec: &JobSpec, netlist: Netlist) -> Result<JobRow, JobError> {
-        let job = IslandEvolveJob::from_spec_netlist(spec, netlist, 1).map_err(JobError::fatal)?;
-        let key_len = spec.kind.key_len();
-        let result = self.run_resumable(
-            &job.resumable(),
-            &ResumeSite {
-                name: Self::island_checkpoint_name(&spec.id),
-                resume_counter: "service.evolve_resumes",
-                checkpoint_counter: "service.evolve_checkpoints",
-            },
-        )?;
-        Ok(self.evolve_row(spec, key_len, &result))
+    fn run_evolve(&self, spec: &JobSpec, netlist: &Netlist) -> Result<JobRow, JobError> {
+        let evolution = prepare_evolution(spec, netlist).map_err(JobError::fatal)?;
+        let site = |name| ResumeSite {
+            name,
+            resume_counter: "service.evolve_resumes",
+            checkpoint_counter: "service.evolve_checkpoints",
+        };
+        let result = if matches!(spec.kind, JobKind::EvolveIslands { .. }) {
+            self.run_resumable(
+                &evolution.islands(),
+                &site(Self::island_checkpoint_name(&spec.id)),
+            )?
+        } else {
+            self.run_resumable(
+                &evolution.single(),
+                &site(Self::ga_checkpoint_name(&spec.id)),
+            )?
+        };
+        Ok(self.evolve_row(spec, &result))
     }
 
     /// The row both evolve kinds produce: `key_accuracy` is the attack
     /// accuracy of the best genotype (1 − fitness), `iterations` the number
     /// of generations actually evolved.
-    fn evolve_row(
-        &self,
-        spec: &JobSpec,
-        key_len: usize,
-        result: &crate::resumable::EvolveResult,
-    ) -> JobRow {
+    fn evolve_row(&self, spec: &JobSpec, result: &EvolveResult) -> JobRow {
         JobRow {
             job_id: spec.id.clone(),
             circuit: spec.circuit.clone(),
             format: source_format(spec),
             attack: "evolve".to_string(),
             status: JobStatus::Ok,
-            key_len,
+            key_len: spec.kind.key_len(),
             success: true,
             key_accuracy: Some(1.0 - result.best_fitness),
             iterations: result.history.len().saturating_sub(1) as u64,

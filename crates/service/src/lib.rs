@@ -69,5 +69,5 @@ pub use job::{
     jobs_from_dir, DirJobConfig, DirJobKinds, JobKind, JobRow, JobSpec, JobStatus, LockSpec,
 };
 pub use registry::{ModelRegistry, RegistryLookup};
-pub use resumable::{run_fresh, EvolveJob, EvolveResult, IslandEvolveJob};
+pub use resumable::{prepare_evolution, prepare_evolution_from_source, EvolveResult};
 pub use store::{CheckpointStore, StoreRead};

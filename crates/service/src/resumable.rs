@@ -1,268 +1,49 @@
-//! Job-side bundles of the unified [`Resumable`] API.
+//! Evolve jobs as AutoLock runs.
 //!
-//! The engine used to hand-roll a checkpoint loop per job kind. These types
-//! package each long-running job kind — the classic single-population GA
-//! ([`EvolveJob`]) and the island-model GA ([`IslandEvolveJob`]) — as a
-//! [`Resumable`] context bundle, so the engine (and the E14 bench driver)
-//! drives every kind through one generic load/step/persist loop. The SAT
-//! attack's bundle lives in [`autolock_attacks::ResumableSatAttack`].
+//! Every evolve job kind is an [`AutoLockConfig`]: the spec's key length,
+//! population, generation budget and seed on top of the paper's defaults,
+//! with a serial MLP-backend MuxLink attack as fitness.
+//! [`AutoLock::prepare`] assembles the problem — seeded population, fitness,
+//! operators, GA — and the job kind picks the [`Resumable`] view the engine
+//! drives through its generic load/step/persist loop:
 //!
-//! Both bundles replicate the engine's historical seeding protocol exactly:
-//! the job RNG is seeded from the spec seed, the initial population is drawn
-//! from it locus-by-locus, and the *post-seeding* RNG position becomes the
-//! GA's stream — so rows produced through this API are bit-identical to the
-//! pre-refactor engine's.
+//! * [`JobKind::Evolve`] — the single-population GA, elitism
+//!   `min(2, population − 1)`, checkpointed under `{id}.ga.json`;
+//! * [`JobKind::EvolveIslands`] — the island model (even with one island),
+//!   elitism 1 per island so two-member islands keep breeding, and with
+//!   `surrogate` the DGCNN-backend attack as real fitness screened by the
+//!   MLP one; checkpointed under `{id}.iga.json`.
+//!
+//! Islands run serially inside a job: the engine's worker pool is the
+//! parallelism level, and results are thread-count invariant either way.
+//!
+//! [`Resumable`]: autolock_evo::Resumable
 
 use crate::job::{JobKind, JobSpec};
-use autolock::operators::{CrossoverKind, LocusCrossover, LocusMutation, MutationKind};
-use autolock::{LockingGenotype, MuxLinkFitness};
+use autolock::{AutoLock, AutoLockConfig, AutoLockError, Evolution, LockingGenotype};
 use autolock_attacks::MuxLinkConfig;
-use autolock_evo::{
-    GaConfig, GaResult, GeneticAlgorithm, IslandConfig, IslandGa, Resumable, ResumableGa,
-    ResumableIslandGa, SelectionMethod, SurrogateScreen,
-};
-use autolock_locking::DMuxLocking;
+use autolock_evo::{GaResult, IslandConfig};
 use autolock_netlist::ingest::{self, IngestOptions};
 use autolock_netlist::Netlist;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
-/// The shared per-island/per-run GA settings used by every evolve job.
-fn evolve_ga_config(generations: usize, elitism: usize) -> GaConfig {
-    GaConfig {
-        generations,
-        crossover_rate: 0.9,
-        mutation_rate: 0.4,
-        elitism,
-        selection: SelectionMethod::Tournament { size: 3 },
-        parallel: false,
-        target_fitness: None,
-        stagnation_limit: None,
-    }
-}
-
-/// Seeds the initial D-MUX population exactly like the pre-refactor engine:
-/// `population_size` locus selections drawn back-to-back from `rng`.
-fn seed_population(
-    original: &Arc<Netlist>,
-    key_len: usize,
-    population_size: usize,
-    rng: &mut ChaCha8Rng,
-) -> Result<Vec<LockingGenotype>, String> {
-    let locking = DMuxLocking::default();
-    let mut population = Vec::with_capacity(population_size);
-    for _ in 0..population_size {
-        population.push(
-            locking
-                .select_loci(original, key_len, rng)
-                .map_err(|e| format!("lock: {e}"))?,
-        );
-    }
-    Ok(population)
-}
-
-/// A classic single-population evolve job, bundled for the [`Resumable`]
-/// driver: circuit, GA, MuxLink fitness, locus operators, seeded initial
-/// population and positioned RNG.
-pub struct EvolveJob {
-    ga: GeneticAlgorithm,
-    fitness: MuxLinkFitness,
-    crossover: LocusCrossover,
-    mutation: LocusMutation,
-    initial: Vec<LockingGenotype>,
-    rng: ChaCha8Rng,
-}
-
-impl EvolveJob {
-    /// Builds the job from its raw parts.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the parameters are invalid (population < 2,
-    /// empty key) or the circuit cannot host `key_len` MUX loci. These are
-    /// deterministic failures — callers should not retry.
-    pub fn from_parts(
-        netlist: Netlist,
-        seed: u64,
-        key_len: usize,
-        population_size: usize,
-        generations: usize,
-    ) -> Result<Self, String> {
-        if population_size < 2 {
-            return Err("population size must be at least 2".to_string());
-        }
-        if key_len == 0 {
-            return Err("key length must be at least 1".to_string());
-        }
-        let original = Arc::new(netlist);
-        let ga = GeneticAlgorithm::new(evolve_ga_config(generations, 2.min(population_size - 1)));
-        let fitness = MuxLinkFitness::new(
-            original.clone(),
-            MuxLinkConfig::fast().with_threads(1),
-            seed,
-            1,
-        );
-        let crossover = LocusCrossover::new(original.clone(), key_len, CrossoverKind::OnePoint);
-        let mutation = LocusMutation::new(original.clone(), key_len, MutationKind::Composite);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let initial = seed_population(&original, key_len, population_size, &mut rng)?;
-        Ok(EvolveJob {
-            ga,
-            fitness,
-            crossover,
-            mutation,
-            initial,
-            rng,
-        })
-    }
-
-    /// The [`Resumable`] view of this job (borrows the bundle; cheap to
-    /// rebuild, e.g. once per engine attempt).
-    pub fn resumable(
-        &self,
-    ) -> ResumableGa<'_, LockingGenotype, MuxLinkFitness, LocusCrossover, LocusMutation> {
-        ResumableGa::new(
-            &self.ga,
-            self.initial.clone(),
-            &self.fitness,
-            &self.crossover,
-            &self.mutation,
-            self.rng.clone(),
-        )
-    }
-}
-
-/// An island-model evolve job, bundled for the [`Resumable`] driver.
-///
-/// The population is split across `islands` ring-migrating subpopulations
-/// (elitism 1 per island, so even two-member islands keep breeding); the
-/// fitness is the MLP-backend MuxLink attack, and with `surrogate` enabled
-/// the real fitness becomes the DGCNN-backend attack screened by the MLP
-/// one — both sharing a single fingerprint-keyed [`autolock::FitnessCache`].
-pub struct IslandEvolveJob {
-    island_ga: IslandGa,
-    fitness: MuxLinkFitness,
-    surrogate: Option<MuxLinkFitness>,
-    survivor_fraction: f64,
-    crossover: LocusCrossover,
-    mutation: LocusMutation,
-    initial: Vec<LockingGenotype>,
-    rng: ChaCha8Rng,
-}
-
-impl IslandEvolveJob {
-    /// Builds the job from its raw parts. `threads` is the island fan-out
-    /// width (wall-clock only — results are thread-count invariant).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for invalid parameters: population < 2, empty key,
-    /// or fewer than two members per island.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        netlist: Netlist,
-        seed: u64,
-        key_len: usize,
-        population_size: usize,
-        generations: usize,
-        islands: usize,
-        migration_interval: usize,
-        migrants: usize,
-        surrogate: bool,
-        threads: usize,
-    ) -> Result<Self, String> {
-        if population_size < 2 {
-            return Err("population size must be at least 2".to_string());
-        }
-        if key_len == 0 {
-            return Err("key length must be at least 1".to_string());
-        }
-        let k = islands.max(1);
-        if population_size < k * 2 {
-            return Err(format!(
-                "population size {population_size} cannot fill {k} islands with 2 members each"
-            ));
-        }
-        let original = Arc::new(netlist);
-        let island_ga = IslandGa::new(
-            GeneticAlgorithm::new(evolve_ga_config(generations, 1)),
-            IslandConfig {
-                islands: k,
-                migration_interval,
-                migrants,
-                threads,
-            },
-        );
-        // With screening on, the expensive DGCNN-backend attack is the real
-        // fitness and the cheap MLP-backend attack ranks each generation;
-        // both share one cache so repeat genotypes (elites, migrants) are
-        // free on either path.
-        let real_config = if surrogate {
-            MuxLinkConfig::gnn_fast().with_threads(1)
-        } else {
-            MuxLinkConfig::fast().with_threads(1)
-        };
-        let fitness = MuxLinkFitness::new(original.clone(), real_config, seed, 1);
-        let surrogate = surrogate.then(|| {
-            MuxLinkFitness::new(
-                original.clone(),
-                MuxLinkConfig::fast().with_threads(1),
-                seed,
-                1,
-            )
-            .with_cache(fitness.cache().clone())
-        });
-        let crossover = LocusCrossover::new(original.clone(), key_len, CrossoverKind::OnePoint);
-        let mutation = LocusMutation::new(original.clone(), key_len, MutationKind::Composite);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let initial = seed_population(&original, key_len, population_size, &mut rng)?;
-        Ok(IslandEvolveJob {
-            island_ga,
-            fitness,
-            surrogate,
-            survivor_fraction: 0.5,
-            crossover,
-            mutation,
-            initial,
-            rng,
-        })
-    }
-
-    /// Builds the job from a [`JobSpec`] carrying a
-    /// [`JobKind::EvolveIslands`] kind (ingests the spec's source through
-    /// the format-detecting front door, honoring its sequential mode).
-    /// Used by the E14 bench driver to pre-step and checkpoint a job exactly
-    /// as the engine would.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the spec is not an island-evolve job, its
-    /// source does not parse, or the parameters are invalid.
-    pub fn from_spec(spec: &JobSpec, threads: usize) -> Result<Self, String> {
-        let opts = IngestOptions {
-            sequential: spec.sequential,
-            ..IngestOptions::default()
-        };
-        let netlist = ingest::parse_auto(&spec.circuit, &spec.source, &opts)
-            .map_err(|e| format!("parse: {e}"))?
-            .netlist;
-        Self::from_spec_netlist(spec, netlist, threads)
-    }
-
-    /// Like [`IslandEvolveJob::from_spec`] but for callers (the engine) that
-    /// already parsed the spec's source.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the spec is not an island-evolve job or the
-    /// parameters are invalid.
-    pub fn from_spec_netlist(
-        spec: &JobSpec,
-        netlist: Netlist,
-        threads: usize,
-    ) -> Result<Self, String> {
-        let JobKind::EvolveIslands {
+/// The AutoLock configuration an evolve job runs under; `None` for the
+/// non-evolve kinds.
+fn evolve_config(spec: &JobSpec) -> Option<AutoLockConfig> {
+    let fast = MuxLinkConfig::fast().with_threads(1);
+    let config = match spec.kind {
+        JobKind::Evolve {
+            key_len,
+            population_size,
+            generations,
+        } => AutoLockConfig {
+            key_len,
+            population_size,
+            generations,
+            elitism: 2.min(population_size.saturating_sub(1)),
+            attack: fast,
+            ..AutoLockConfig::default()
+        },
+        JobKind::EvolveIslands {
             key_len,
             population_size,
             generations,
@@ -270,54 +51,71 @@ impl IslandEvolveJob {
             migration_interval,
             migrants,
             surrogate,
-        } = &spec.kind
-        else {
-            return Err(format!("job {} is not an island-evolve job", spec.id));
-        };
-        Self::from_parts(
-            netlist,
-            spec.seed,
-            *key_len,
-            *population_size,
-            *generations,
-            *islands,
-            *migration_interval,
-            *migrants,
-            *surrogate,
-            threads,
-        )
-    }
-
-    /// The [`Resumable`] view of this job.
-    pub fn resumable(
-        &self,
-    ) -> ResumableIslandGa<'_, LockingGenotype, MuxLinkFitness, LocusCrossover, LocusMutation> {
-        let screen = self.surrogate.as_ref().map(|s| SurrogateScreen {
-            surrogate: s as &dyn autolock_evo::FitnessFunction<LockingGenotype>,
-            survivor_fraction: self.survivor_fraction,
-        });
-        ResumableIslandGa::new(
-            &self.island_ga,
-            self.initial.clone(),
-            &self.fitness,
-            &self.crossover,
-            &self.mutation,
-            screen,
-            self.rng.clone(),
-        )
-    }
-
-    /// The shared fitness cache (hit/miss counts flow through
-    /// `autolock.fitness_cache.*` counters as well).
-    pub fn cache(&self) -> &Arc<autolock::FitnessCache> {
-        self.fitness.cache()
-    }
+        } => AutoLockConfig {
+            key_len,
+            population_size,
+            generations,
+            elitism: 1,
+            // With screening on, the expensive DGCNN-backend attack is the
+            // real fitness and the cheap MLP-backend attack ranks each
+            // generation.
+            attack: if surrogate {
+                MuxLinkConfig::gnn_fast().with_threads(1)
+            } else {
+                fast.clone()
+            },
+            surrogate: surrogate.then_some(fast),
+            islands: IslandConfig {
+                islands: islands.max(1),
+                migration_interval,
+                migrants,
+                threads: 1,
+            },
+            ..AutoLockConfig::default()
+        },
+        JobKind::SatAttack { .. } | JobKind::MuxLinkAttack { .. } => return None,
+    };
+    Some(AutoLockConfig {
+        parallel: false,
+        seed: spec.seed,
+        ..config
+    })
 }
 
-/// Drives a fresh [`Resumable`] job to completion without persistence —
-/// convenience for tests and bench baselines.
-pub fn run_fresh<R: Resumable>(job: &R) -> R::Output {
-    autolock_evo::run_to_completion(job, |_| {})
+/// Assembles an evolve job on its already-parsed circuit.
+///
+/// # Errors
+///
+/// Returns the row's error text when the spec is not an evolve job, its
+/// parameters are invalid, or the circuit cannot host the key. These are
+/// deterministic failures — callers should not retry.
+pub fn prepare_evolution(spec: &JobSpec, netlist: &Netlist) -> Result<Evolution, String> {
+    let config =
+        evolve_config(spec).ok_or_else(|| format!("job {} is not an evolve job", spec.id))?;
+    AutoLock::new(config).prepare(netlist).map_err(|e| match e {
+        AutoLockError::InvalidConfig { reason } => reason,
+        AutoLockError::Lock(e) => format!("lock: {e}"),
+    })
+}
+
+/// Like [`prepare_evolution`], but ingests the spec's source first through
+/// the format-detecting front door (honoring its sequential mode) — for
+/// drivers outside the engine, such as the E14 experiment, that pre-step
+/// and checkpoint a job exactly as the engine would.
+///
+/// # Errors
+///
+/// The errors of [`prepare_evolution`], plus `parse: …` when the source
+/// does not parse.
+pub fn prepare_evolution_from_source(spec: &JobSpec) -> Result<Evolution, String> {
+    let opts = IngestOptions {
+        sequential: spec.sequential,
+        ..IngestOptions::default()
+    };
+    let netlist = ingest::parse_auto(&spec.circuit, &spec.source, &opts)
+        .map_err(|e| format!("parse: {e}"))?
+        .netlist;
+    prepare_evolution(spec, &netlist)
 }
 
 /// The result type evolve jobs produce.

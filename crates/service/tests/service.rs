@@ -235,15 +235,15 @@ fn island_evolution_resumes_from_generation_checkpoint_bit_identically() {
     assert_eq!(rows_fresh[0].attack, "evolve");
     assert_eq!(rows_fresh[0].iterations, 2);
 
-    // Reproduce what the engine persists mid-run: build the same job
-    // bundle, step it one generation, and park the checkpoint where the
-    // engine will look for it.
+    // Reproduce what the engine persists mid-run: assemble the same evolve
+    // problem, step its island view one generation, and park the checkpoint
+    // where the engine will look for it.
     let dir_resume = scratch("isl_resume");
     let engine_resume = JobEngine::new(EngineConfig::rooted(&dir_resume, 1)).unwrap();
     {
         let spec = island_evolve_job(2, 21);
-        let bundle = autolock_service::IslandEvolveJob::from_spec(&spec, 1).unwrap();
-        let job = bundle.resumable();
+        let evolution = autolock_service::prepare_evolution_from_source(&spec).unwrap();
+        let job = evolution.islands();
         let mut state = job.init_state();
         assert!(job.step(&mut state));
         let ckpt = serde_json::to_string(&job.checkpoint(&state)).unwrap();
