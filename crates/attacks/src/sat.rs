@@ -15,7 +15,7 @@ use autolock_evo::Resumable;
 use autolock_locking::{Key, LockedNetlist};
 use autolock_netlist::{GateId, Netlist};
 use autolock_satsolver::{
-    CircuitEncoder, Lit, SolveBudget, SolveResult, Solver, SolverSnapshot, Var,
+    CircuitEncoder, Lit, SolveBudget, SolveResult, Solver, SolverSnapshot, SolverStats, Var,
 };
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -34,12 +34,17 @@ pub struct SatAttackConfig {
     /// search point on every machine, which is what tests and the service
     /// smoke use to induce reproducible timeouts. `None` = unbounded.
     pub max_propagations_per_solve: Option<u64>,
-    /// Optional mid-solve checkpoint granule: when set, the active solver
-    /// call pauses every this-many conflicts and [`SatAttack::step`] returns,
-    /// giving the caller a boundary at which the whole attack state can be
-    /// serialized via [`SatAttack::checkpoint`]. Pausing never changes the
-    /// search path, so results are identical with or without a granule.
-    /// `None` (the default) lets each solve run to its verdict in one step.
+    /// Optional checkpoint granule in conflicts: the unit of work of one
+    /// [`SatAttack::step`]. A step keeps exchanging DIPs until the miter and
+    /// key solver together have spent at least this many conflicts since it
+    /// began, then returns at that DIP boundary; a single solve that reaches
+    /// the granule pauses mid-search and ends the step there. Either way
+    /// the caller gets a boundary at which the whole attack state can be
+    /// serialized via [`SatAttack::checkpoint`], at most two granules of
+    /// conflicts apart. Pausing never changes the search path, so results
+    /// are identical with or without a granule. `None` (the default) acts
+    /// as a granule of 0: every DIP boundary ends a step and each solve runs
+    /// to its verdict.
     pub checkpoint_conflicts: Option<u64>,
 }
 
@@ -135,6 +140,12 @@ impl SatAttackState {
     /// further work).
     pub fn is_finished(&self) -> bool {
         self.phase == SatPhase::Done
+    }
+
+    /// Work counters of the miter solver and of the key solver, in that
+    /// order.
+    pub fn solver_stats(&self) -> (SolverStats, SolverStats) {
+        (self.miter.stats(), self.key_solver.stats())
     }
 }
 
@@ -353,12 +364,41 @@ impl SatAttack {
         })
     }
 
-    /// Advances the run by one bounded unit of work: one miter solve slice
-    /// (a full solve, or up to [`SatAttackConfig::checkpoint_conflicts`]
-    /// conflicts of one), one DIP/oracle exchange, or one key-extraction
-    /// slice. Returns `true` while more work remains — checkpoint between
+    /// Advances the run by one granule of search work: DIP/oracle
+    /// exchanges (then key extraction) until a solve pauses, the run
+    /// finishes, or the two solvers have spent at least
+    /// [`SatAttackConfig::checkpoint_conflicts`] conflicts since the call
+    /// began. Returns `true` while more work remains — checkpoint between
     /// calls, then keep stepping.
     pub fn step(
+        &self,
+        state: &mut SatAttackState,
+        locked: &LockedNetlist,
+        oracle: &Netlist,
+    ) -> bool {
+        let granule = self.config.checkpoint_conflicts.unwrap_or(0);
+        let spent = |state: &SatAttackState| {
+            let (miter, key) = state.solver_stats();
+            miter.conflicts + key.conflicts
+        };
+        let start = spent(state);
+        loop {
+            if !self.advance(state, locked, oracle) {
+                return false;
+            }
+            if state.miter.is_paused()
+                || state.key_solver.is_paused()
+                || spent(state) - start >= granule
+            {
+                return true;
+            }
+        }
+    }
+
+    /// One bounded unit of work: one miter solve slice (a full solve, or up
+    /// to one granule of conflicts of it) with its DIP/oracle exchange, or
+    /// one key-extraction slice. Returns `true` while more work remains.
+    fn advance(
         &self,
         state: &mut SatAttackState,
         locked: &LockedNetlist,
@@ -562,8 +602,9 @@ impl SatAttack {
 /// The [`Resumable`] form of a SAT attack run: a [`SatAttack`] bundled with
 /// the locked netlist and oracle it runs against, so drivers (the service
 /// engine) can persist and resume it through the same trait as the GA. One
-/// step is one DIP iteration (or one mid-solve pause when
-/// [`SatAttackConfig::checkpoint_conflicts`] is set).
+/// step is one [`SatAttack::step`]: a granule of
+/// [`SatAttackConfig::checkpoint_conflicts`] conflicts, ending at a DIP
+/// boundary or a mid-solve pause.
 pub struct ResumableSatAttack<'a> {
     attack: &'a SatAttack,
     locked: &'a LockedNetlist,
@@ -654,7 +695,11 @@ mod tests {
         let original = synth_circuit("sat-resumable", 8, 4, 90, 21);
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let locked = XorLocking::default().lock(&original, 6, &mut rng).unwrap();
-        let attack = SatAttack::default();
+        // A small granule, so that the run spans several steps.
+        let attack = SatAttack::new(SatAttackConfig {
+            checkpoint_conflicts: Some(2),
+            ..SatAttackConfig::default()
+        });
         let direct = attack.attack(&locked, &original);
 
         let job = ResumableSatAttack::new(&attack, &locked, &original);

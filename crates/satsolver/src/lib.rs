@@ -37,6 +37,7 @@
 mod cnf;
 mod codec;
 pub mod encode;
+mod order;
 mod snapshot;
 mod solver;
 mod types;

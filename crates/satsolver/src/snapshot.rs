@@ -17,6 +17,12 @@
 //! *are* carried, so a propagation-capped call that was paused keeps
 //! counting against the same per-call baseline after resuming.
 //!
+//! Nor does it carry derived state. The VSIDS decision heap is a function
+//! of the activities (ordered by activity, then index), so
+//! [`Solver::from_snapshot`] rebuilds it; the conflict-analysis `seen`
+//! marks are all false between conflicts and are recreated empty. Neither
+//! changes the format or its version.
+//!
 //! # Format
 //!
 //! [`Solver::snapshot`] encodes the live solver in one pass into a packed
@@ -58,6 +64,7 @@
 //! runaway allocation.
 
 use crate::codec::{self, put_delta, put_f64, put_uvar, Reader};
+use crate::order::VarOrder;
 use crate::solver::{Clause, Solver};
 use crate::{Lit, SolveBudget, SolverStats};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -334,6 +341,7 @@ fn decode(bytes: &[u8]) -> Result<Solver, String> {
     let pause_mark = r.uvar()?;
     r.finish()?;
 
+    let order = VarOrder::with_all(&activity);
     Ok(Solver {
         clauses,
         watches,
@@ -357,6 +365,8 @@ fn decode(bytes: &[u8]) -> Result<Solver, String> {
         restart_limit,
         pause_mark,
         pause_granule: None,
+        order,
+        seen: vec![false; nvars],
     })
 }
 
@@ -511,6 +521,46 @@ mod tests {
         s.set_pause_granule(Some(25));
         assert_eq!(s.solve(), SolveResult::Paused);
         s
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// FNV-1a hashes of the packed snapshot of pigeonhole 9×8, paused every
+    /// 50 conflicts, at fixed conflict counts and after its final verdict.
+    /// `var_inc` passes 1e100 after about 4.5k conflicts, so the last two
+    /// follow an activity rescale.
+    const PIGEONHOLE_SNAPSHOT_GOLDEN: [(u64, u64); 5] = [
+        (50, 0x1737_7b1a_8d1d_3525),
+        (500, 0x889f_1cd9_c26a_dbcf),
+        (2_000, 0xf7da_ae0e_b9ba_7acc),
+        (6_000, 0x3678_e63b_506f_5c81),
+        (17_521, 0xf1d7_aa47_cba7_2a44),
+    ];
+
+    #[test]
+    fn pigeonhole_snapshot_bytes_match_the_golden_hashes() {
+        const AT: [u64; 4] = [50, 500, 2_000, 6_000];
+        let mut s = Solver::new();
+        pigeonhole(&mut s, 9, 8);
+        s.set_pause_granule(Some(50));
+        let mut hashes = Vec::new();
+        let verdict = loop {
+            match s.solve() {
+                SolveResult::Paused => {
+                    if AT.contains(&s.stats().conflicts) {
+                        hashes.push((s.stats().conflicts, fnv1a(&s.snapshot().bytes)));
+                    }
+                }
+                verdict => break verdict,
+            }
+        };
+        assert_eq!(verdict, SolveResult::Unsat);
+        hashes.push((s.stats().conflicts, fnv1a(&s.snapshot().bytes)));
+        assert_eq!(hashes, PIGEONHOLE_SNAPSHOT_GOLDEN, "{hashes:#x?}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The CDCL solver.
 
+use crate::order::VarOrder;
 use crate::{Lit, Var};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -113,6 +114,17 @@ pub(crate) struct Clause {
 
 const UNDEF: i8 = 0;
 
+/// Value of `l` under `assigns`: 1 true, -1 false, 0 unassigned.
+#[inline]
+fn value(assigns: &[i8], l: Lit) -> i8 {
+    let a = assigns[l.var().index()];
+    if l.is_neg() {
+        -a
+    } else {
+        a
+    }
+}
+
 /// A CDCL SAT solver.
 ///
 /// See the [crate documentation](crate) for an example. The solver is
@@ -150,6 +162,11 @@ pub struct Solver {
     pub(crate) restart_limit: u64,
     pub(crate) pause_mark: u64,
     pub(crate) pause_granule: Option<u64>,
+    /// Derived state, never serialized: the VSIDS heap over `activity`
+    /// (rebuilt by `from_snapshot` and after an activity rescale) and the
+    /// all-false conflict-analysis marks.
+    pub(crate) order: VarOrder,
+    pub(crate) seen: Vec<bool>,
 }
 
 impl Default for Solver {
@@ -184,6 +201,8 @@ impl Solver {
             restart_limit: 100,
             pause_mark: 0,
             pause_granule: None,
+            order: VarOrder::default(),
+            seen: Vec::new(),
         }
     }
 
@@ -223,7 +242,9 @@ impl Solver {
     /// solver can be snapshotted with [`Solver::snapshot`]. Pausing never
     /// changes the search path — a paused-and-resumed run performs the
     /// identical decisions, propagations and restarts as an uninterrupted
-    /// one. Pass `None` (the default) to disable pausing.
+    /// one. Solves under assumptions never pause, because the resuming call
+    /// could not re-establish them. Pass `None` (the default) to disable
+    /// pausing.
     pub fn set_pause_granule(&mut self, granule: Option<u64>) {
         self.pause_granule = granule.map(|g| g.max(1));
     }
@@ -250,6 +271,8 @@ impl Solver {
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.model.push(UNDEF);
+        self.seen.push(false);
+        self.order.push_new(&self.activity);
         v
     }
 
@@ -262,14 +285,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> i8 {
-        let a = self.assigns[l.var().index()];
-        if a == UNDEF {
-            UNDEF
-        } else if l.is_neg() {
-            -a
-        } else {
-            a
-        }
+        value(&self.assigns, l)
     }
 
     #[inline]
@@ -356,66 +372,57 @@ impl Solver {
     }
 
     /// Unit propagation. Returns the index of a conflicting clause, if any.
+    ///
+    /// Each watch list is compacted in place (`i` reads, `j` writes), so
+    /// the watchers that stay keep their order.
     fn propagate(&mut self) -> Option<usize> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
-            let watch_code = false_lit.code();
-            let ws = std::mem::take(&mut self.watches[watch_code]);
-            let mut keep = Vec::with_capacity(ws.len());
+            // Taken out while it is scanned; a clause never moves its watch
+            // to `false_lit` itself, so nothing is pushed onto it meanwhile.
+            let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut conflict = None;
-            let mut i = 0;
+            let (mut i, mut j) = (0, 0);
             while i < ws.len() {
                 let ci = ws[i];
                 i += 1;
+                let lits = &mut self.clauses[ci].lits;
                 // Make sure the falsified literal is at position 1.
-                {
-                    let c = &mut self.clauses[ci];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[ci].lits[0];
-                if self.lit_value(first) == 1 {
-                    keep.push(ci);
+                let first = lits[0];
+                let first_value = value(&self.assigns, first);
+                if first_value == 1 {
+                    ws[j] = ci;
+                    j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                {
-                    let len = self.clauses[ci].lits.len();
-                    for k in 2..len {
-                        let lk = self.clauses[ci].lits[k];
-                        if self.lit_value(lk) != -1 {
-                            self.clauses[ci].lits.swap(1, k);
-                            let new_watch = self.clauses[ci].lits[1];
-                            self.watches[new_watch.code()].push(ci);
-                            found = true;
-                            break;
-                        }
-                    }
-                }
-                if found {
+                if let Some(k) = (2..lits.len()).find(|&k| value(&self.assigns, lits[k]) != -1) {
+                    lits.swap(1, k);
+                    self.watches[lits[1].code()].push(ci);
                     continue;
                 }
                 // Clause is unit or conflicting.
-                keep.push(ci);
-                if self.lit_value(first) == -1 {
+                ws[j] = ci;
+                j += 1;
+                if first_value == -1 {
                     // Conflict: keep the remaining watchers and stop.
-                    keep.extend_from_slice(&ws[i..]);
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
                     conflict = Some(ci);
                     self.qhead = self.trail.len();
                     break;
-                } else {
-                    self.unchecked_enqueue(first, Some(ci));
                 }
+                self.unchecked_enqueue(first, Some(ci));
             }
-            // Restore the (possibly appended-to) watch list.
-            let appended = std::mem::take(&mut self.watches[watch_code]);
-            keep.extend(appended);
-            self.watches[watch_code] = keep;
+            ws.truncate(j);
+            debug_assert!(self.watches[false_lit.code()].is_empty());
+            self.watches[false_lit.code()] = ws;
             if conflict.is_some() {
                 return conflict;
             }
@@ -434,6 +441,7 @@ impl Solver {
             self.polarity[v] = self.assigns[v] == 1;
             self.assigns[v] = UNDEF;
             self.reason[v] = None;
+            self.order.insert(v as u32, &self.activity);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(target_level);
@@ -447,6 +455,11 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Scaling keeps the order of distinct activities but may round
+            // some into ties, which the index tie-break then reorders.
+            self.order.heapify(&self.activity);
+        } else {
+            self.order.increased(v.0, &self.activity);
         }
     }
 
@@ -458,7 +471,6 @@ impl Solver {
     /// literal first) and the backtrack level.
     fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, usize) {
         let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // slot 0 reserved for the UIP
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = conflict;
@@ -468,11 +480,11 @@ impl Solver {
         loop {
             let start = usize::from(p.is_some());
             // Collect literals from the current reason/conflict clause.
-            let clause_lits: Vec<Lit> = self.clauses[confl].lits[start..].to_vec();
-            for q in clause_lits {
+            for k in start..self.clauses[confl].lits.len() {
+                let q = self.clauses[confl].lits[k];
                 let v = q.var();
-                if !seen[v.index()] && self.level[v.index()] > 0 {
-                    seen[v.index()] = true;
+                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = true;
                     self.bump_var(v);
                     if self.level[v.index()] >= current_level {
                         counter += 1;
@@ -485,13 +497,13 @@ impl Solver {
             // literal that we've seen.
             loop {
                 index -= 1;
-                if seen[self.trail[index].var().index()] {
+                if self.seen[self.trail[index].var().index()] {
                     break;
                 }
             }
             let pl = self.trail[index];
             let pv = pl.var();
-            seen[pv.index()] = false;
+            self.seen[pv.index()] = false;
             counter -= 1;
             if counter == 0 {
                 p = Some(pl);
@@ -501,6 +513,10 @@ impl Solver {
             p = Some(pl);
         }
         learnt[0] = !p.expect("at least one literal at the conflict level");
+        // Only the lower-level literals are still marked.
+        for l in &learnt[1..] {
+            self.seen[l.var().index()] = false;
+        }
 
         // Compute backtrack level: the second-highest level in the clause.
         let backtrack_level = if learnt.len() == 1 {
@@ -518,7 +534,25 @@ impl Solver {
         (learnt, backtrack_level)
     }
 
-    fn pick_branch_var(&self) -> Option<Var> {
+    /// The unassigned variable of highest activity, lowest index first
+    /// among ties. Assigned variables leave the heap lazily, here; they
+    /// return to it when `cancel_until` unassigns them.
+    fn pick_branch_var(&mut self) -> Option<Var> {
+        let picked = loop {
+            match self.order.pop(&self.activity) {
+                Some(v) if self.assigns[v as usize] != UNDEF => continue,
+                next => break next.map(Var),
+            }
+        };
+        #[cfg(test)]
+        assert_eq!(picked, self.pick_branch_var_linear(), "heap decision");
+        picked
+    }
+
+    /// The linear scan the heap replaces: the first unassigned variable of
+    /// maximum activity.
+    #[cfg(test)]
+    fn pick_branch_var_linear(&self) -> Option<Var> {
         let mut best: Option<(usize, f64)> = None;
         for v in 0..self.num_vars() {
             if self.assigns[v] == UNDEF {
@@ -601,7 +635,9 @@ impl Solver {
                     }
                 }
             }
-            if let Some(granule) = self.pause_granule {
+            // A resumed call carries no assumptions, so only an
+            // assumption-free solve may pause.
+            if let Some(granule) = self.pause_granule.filter(|_| assumptions.is_empty()) {
                 if self.stats.conflicts - self.pause_mark >= granule {
                     self.pause_mark = self.stats.conflicts;
                     self.paused = true;
@@ -666,7 +702,11 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         // All variables assigned: model found.
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.assigns);
+                        debug_assert!(
+                            self.model_satisfies(assumptions),
+                            "model violates an original clause or an assumption"
+                        );
                         break 'outer SolveResult::Sat;
                     }
                     Some(v) => {
@@ -694,6 +734,18 @@ impl Solver {
             -1 => Some(false),
             _ => None,
         }
+    }
+
+    /// `true` when the model satisfies every original (non-learnt) clause
+    /// and every assumption: the self-check behind each `Sat` verdict in
+    /// debug builds.
+    fn model_satisfies(&self, assumptions: &[Lit]) -> bool {
+        let holds = |l: &Lit| value(&self.model, *l) == 1;
+        self.clauses
+            .iter()
+            .filter(|c| !c.learnt)
+            .all(|c| c.lits.iter().any(holds))
+            && assumptions.iter().all(holds)
     }
 
     /// Returns `true` if the solver is known to be unsatisfiable regardless of
@@ -984,6 +1036,110 @@ mod tests {
             }
         }
         false
+    }
+
+    fn random_lit(rng: &mut rand_chacha::ChaCha8Rng, num_vars: usize) -> Lit {
+        use rand::Rng;
+        Lit::new(Var(rng.gen_range(0..num_vars) as u32), rng.gen_bool(0.5))
+    }
+
+    fn satisfies(s: &Solver, clauses: &[Vec<Lit>]) -> bool {
+        clauses
+            .iter()
+            .all(|c| c.iter().any(|&l| s.value(l.var()) == Some(l.is_pos())))
+    }
+
+    #[test]
+    fn random_interleavings_agree_with_brute_force_and_an_uninterrupted_twin() {
+        // Random sequences of clause additions and solves under random
+        // assumptions. `live` pauses every 1-3 conflicts and, at random
+        // pauses, is torn down and rebuilt from its snapshot; `twin` runs
+        // each solve in one call. Verdicts must match brute force and the
+        // two solvers must walk the identical search.
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        let mut roundtrips = 0;
+        for round in 0..120 {
+            let num_vars = 12;
+            let granule = rng.gen_range(1..=3);
+            let mut live = Solver::new();
+            let mut twin = Solver::new();
+            live.reserve_vars(num_vars);
+            twin.reserve_vars(num_vars);
+            live.set_pause_granule(Some(granule));
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for op in 0..64 {
+                if rng.gen_bool(0.8) {
+                    let len = if rng.gen_bool(0.1) { 2 } else { 3 };
+                    let c: Vec<Lit> = (0..len).map(|_| random_lit(&mut rng, num_vars)).collect();
+                    assert_eq!(
+                        live.add_clause(&c),
+                        twin.add_clause(&c),
+                        "round {round} op {op}"
+                    );
+                    clauses.push(c);
+                    continue;
+                }
+                // Only the assumption-free half of the solves may pause.
+                let num_assumptions = if rng.gen_bool(0.5) {
+                    0
+                } else {
+                    rng.gen_range(1..=2)
+                };
+                let assumptions: Vec<Lit> = (0..num_assumptions)
+                    .map(|_| random_lit(&mut rng, num_vars))
+                    .collect();
+                let want = twin.solve_with_assumptions(&assumptions);
+                let mut got = live.solve_with_assumptions(&assumptions);
+                while got == SolveResult::Paused {
+                    if rng.gen_bool(0.5) {
+                        live = Solver::from_snapshot(live.snapshot()).unwrap();
+                        live.set_pause_granule(Some(granule));
+                        roundtrips += 1;
+                    }
+                    got = live.solve();
+                }
+                let mut constrained = clauses.clone();
+                constrained.extend(assumptions.iter().map(|&a| vec![a]));
+                let expected = brute_force_sat(num_vars, &constrained);
+                assert_eq!(got == SolveResult::Sat, expected, "round {round} op {op}");
+                assert_eq!(got, want, "round {round} op {op}");
+                assert_eq!(live.stats(), twin.stats(), "round {round} op {op}");
+                if got == SolveResult::Sat {
+                    assert!(satisfies(&live, &constrained), "round {round} op {op}");
+                }
+            }
+        }
+        assert!(roundtrips > 0, "some solves must pause and round-trip");
+    }
+
+    #[test]
+    fn heap_decisions_match_the_linear_scan_across_forced_rescales() {
+        // `pick_branch_var` checks every decision against the linear scan
+        // in test builds. Distinct tiny activities that the 1e-100 rescale
+        // underflows into ties, plus a `var_inc` past the rescale threshold,
+        // make the first bump of every solve rescale and reorder the heap.
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for round in 0..20 {
+            let num_vars = 40;
+            let mut s = Solver::new();
+            s.reserve_vars(num_vars);
+            for _ in 0..170 {
+                let clause: Vec<Lit> = (0..3).map(|_| random_lit(&mut rng, num_vars)).collect();
+                s.add_clause(&clause);
+            }
+            for a in s.activity.iter_mut() {
+                *a = f64::from(rng.gen_range(0..4u8)) * 1e-300;
+            }
+            s.order = VarOrder::with_all(&s.activity);
+            s.var_inc = 2e100;
+            s.solve();
+            assert!(s.stats().conflicts > 0, "round {round} must learn");
+            assert!(s.var_inc < 1e99, "round {round} must rescale");
+        }
     }
 
     #[test]

@@ -49,10 +49,14 @@ pub struct EngineConfig {
     /// quarantined with a structured `error` row. Deterministic failures
     /// (parse/lock/parameter errors) are never retried. Clamped to ≥ 1.
     pub max_attempts: u32,
-    /// Mid-solve SAT checkpoint granule: when set, SAT jobs pause their
-    /// active solver call every this-many conflicts and persist the full
-    /// attack state, so a kill mid-solve resumes the search (bit-identical)
-    /// instead of restarting the job. `None` disables SAT checkpointing.
+    /// SAT checkpoint granule in conflicts: when set, a SAT job persists its
+    /// full attack state once per step, and one step runs until this many
+    /// conflicts are spent (ending at the next DIP boundary) or a single
+    /// solve reaches the granule and pauses mid-search. A kill then loses
+    /// under two granules of conflicts plus the re-encoding of the DIPs
+    /// found since the last checkpoint, and resumes the search
+    /// bit-identically instead of restarting the job. `None` disables SAT
+    /// checkpointing.
     pub sat_step_conflicts: Option<u64>,
     /// Deterministic fault-injection plan. [`FaultPlan::none`] in
     /// production; chaos tests arm torn writes, corrupt bytes, read errors
@@ -443,10 +447,10 @@ impl JobEngine {
             checkpoint_conflicts: self.config.sat_step_conflicts,
         });
         let outcome = if self.config.sat_step_conflicts.is_some() {
-            // Persist the full attack state at every step boundary: after
-            // each DIP/oracle exchange and — thanks to the conflict granule
-            // — *inside* long miter/key solves, so a SIGKILL at any point
-            // loses at most one granule of search.
+            // Persist the full attack state at every step boundary: a step
+            // spends one granule of conflicts, ending at a DIP boundary or
+            // *inside* a long miter/key solve, so a SIGKILL at any point
+            // loses under two granules of search.
             let job = ResumableSatAttack::new(&attack, &locked, netlist);
             self.run_resumable(
                 &job,

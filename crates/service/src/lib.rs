@@ -35,10 +35,10 @@
 //! lives in this crate's `README.md`):
 //!
 //! * **Mid-solve SAT checkpointing** — SAT jobs persist their complete
-//!   solver state (clause database, trail, activities, budgets) every
-//!   [`EngineConfig::sat_step_conflicts`] conflicts, so a `SIGKILL` inside
-//!   a long miter solve resumes the *search*, bit-identically, instead of
-//!   restarting the job.
+//!   solver state (clause database, trail, activities, budgets) once per
+//!   [`EngineConfig::sat_step_conflicts`] conflicts spent, at a DIP
+//!   boundary or inside a solve, so a `SIGKILL` inside a long miter solve
+//!   resumes the *search*, bit-identically, instead of restarting the job.
 //! * **Crash-consistent stores** — every checkpoint and registry entry is
 //!   a length+checksum-framed record written via temp-file + atomic rename
 //!   ([`CheckpointStore`]). Torn or corrupt records are detected on read,
